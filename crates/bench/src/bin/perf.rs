@@ -2,8 +2,8 @@
 //!
 //! Times every protection mechanism and every attack on a scaled
 //! [`serving_day`](mobipriv_synth::scenarios::serving_day) workload,
-//! and for the four paths rewired onto the spatial query layer
-//! (`KDelta`, `ReidentAttack`, `Tracker`, `HomeAttack`) times the
+//! and for the paths rewired onto indexed kernels (`KDelta`,
+//! `ReidentAttack`, `Tracker`, `HomeAttack`, `MixZones`) times the
 //! brute-force reference (`*_naive`) against the indexed
 //! implementation and reports the speedup. Emits machine-readable JSON
 //! (`BENCH_perf.json` in CI) so the perf trajectory of the repo is a
@@ -18,10 +18,12 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 use mobipriv_attacks::{HomeAttack, PoiAttack, ReidentAttack, Tracker};
-use mobipriv_core::{Engine, GeoInd, GridGeneralization, KDelta, Mechanism, Promesse};
+use mobipriv_core::{
+    Engine, GeoInd, GridGeneralization, KDelta, Mechanism, MixZoneConfig, MixZones, Promesse,
+};
 use mobipriv_model::{
     read_bin, read_csv, read_ndjson, write_bin, write_csv, write_ndjson, Dataset, WireFormat,
 };
@@ -647,6 +649,24 @@ fn main() -> ExitCode {
     let (indexed_s, indexed_out) = time_min(args.iters, || home.run(dataset, &world.truth));
     assert_eq!(naive_out, indexed_out, "home naive≡indexed violated");
     paths.push(("home".to_owned(), naive_s, indexed_s));
+
+    // Mix-zone swapping on the smoothed release, as the paper's
+    // pipeline runs it. The RNG's next draw after each run is compared
+    // too: the indexed kernels must consume exactly the same randomness.
+    let mixzones = MixZones::new(MixZoneConfig::default()).expect("valid default config");
+    let swap = |naive: bool| {
+        let mut rng = StdRng::seed_from_u64(args.seed);
+        let (out, report) = if naive {
+            mixzones.protect_with_report_naive(&published, &mut rng)
+        } else {
+            mixzones.protect_with_report(&published, &mut rng)
+        };
+        (out, report, rng.next_u64())
+    };
+    let (naive_s, naive_out) = time_min(args.iters, || swap(true));
+    let (indexed_s, indexed_out) = time_min(args.iters, || swap(false));
+    assert_eq!(naive_out, indexed_out, "mixzones naive≡indexed violated");
+    paths.push(("mixzones_r100".to_owned(), naive_s, indexed_s));
 
     // Remaining attack for context (no indexed/naive split).
     let poi = PoiAttack::default();

@@ -256,6 +256,8 @@ fn sample_trace(
 /// needs of it.
 #[derive(Debug, Clone, Copy)]
 struct Sample {
+    /// Tolerance bucket of `time`.
+    bucket: i64,
     time: i64,
     trace: usize,
     position: LatLng,
@@ -269,14 +271,14 @@ struct Sample {
 /// The naive scan builds a [`GridIndex`] (cells of side
 /// `max(radius, 1)`) over each pair of adjacent tolerance buckets and
 /// queries it once per sample, in insertion order. Here the samples are
-/// sorted once by bucket and cell. The candidates of a cell — its 3×3
-/// block row by row, previous bucket before current bucket within a
-/// cell, insertion order within that, exactly as
-/// [`GridIndex::entries_within`] yields them — are gathered once for all
-/// its samples by a forward sweep, and a stable sort puts each bucket's
-/// meetings back in query order. Samples below the speed gate are
-/// dropped up front: the gate applies to both partners, so they can
-/// never take part in a meeting.
+/// sorted once by bucket, and each bucket's samples by cell. The
+/// candidates of a cell — its 3×3 block row by row, previous bucket
+/// before current bucket within a cell, insertion order within that,
+/// exactly as [`GridIndex::entries_within`] yields them — are gathered
+/// once for all its samples by a forward sweep, and a stable sort puts
+/// each bucket's meetings back in query order. Samples below the speed
+/// gate are dropped up front: the gate applies to both partners, so they
+/// can never take part in a meeting.
 fn find_meetings(dataset: &Dataset, config: &MixZoneConfig, frame: &LocalFrame) -> Vec<Meeting> {
     let tol = config.time_tolerance.get().max(1.0) as i64;
     let step = config.sampling.get().max(1.0) as i64;
@@ -292,6 +294,7 @@ fn find_meetings(dataset: &Dataset, config: &MixZoneConfig, frame: &LocalFrame) 
         sample_trace(trace, config, frame, |time, position, point, speed| {
             if speed >= config.min_speed_mps {
                 samples.push(Sample {
+                    bucket: time.div_euclid(tol),
                     time,
                     trace: idx,
                     position,
@@ -300,45 +303,44 @@ fn find_meetings(dataset: &Dataset, config: &MixZoneConfig, frame: &LocalFrame) 
             }
         });
     }
-    // (bucket, row, column, sample): the sample index is the insertion
-    // order, which is the query order within a bucket.
-    let mut by_cell: Vec<(i64, i64, i64, usize)> = samples
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            let cell = grid.cell_of(s.point);
-            (s.time.div_euclid(tol), cell.cy, cell.cx, i)
-        })
-        .collect();
-    by_cell.sort_unstable();
-    let mut buckets: Vec<(i64, Range<usize>)> = Vec::new();
-    for (pos, &(b, ..)) in by_cell.iter().enumerate() {
-        match buckets.last_mut() {
-            Some((last, range)) if *last == b => range.end = pos + 1,
-            _ => buckets.push((b, pos..pos + 1)),
-        }
-    }
+    // Bucket-major; samples are pushed trace by trace in time order, so
+    // (trace, time) is the insertion order — the query order.
+    samples.sort_unstable_by_key(|s| (s.bucket, s.trace, s.time));
 
     let users: Vec<UserId> = dataset.traces().iter().map(Trace::user).collect();
     let mut meetings = Vec::new();
     let mut found: Vec<(usize, Meeting)> = Vec::new();
     let mut candidates: Vec<usize> = Vec::new();
-    for (bi, (b, range)) in buckets.iter().enumerate() {
-        let previous = match bi.checked_sub(1).map(|p| &buckets[p]) {
-            Some((pb, prange)) if *pb == b - 1 => &by_cell[prange.clone()],
-            _ => &[],
-        };
-        let current = &by_cell[range.clone()];
-        let sources = [previous, current];
+    // (row, column, sample) of the previous and the current bucket,
+    // sorted by cell.
+    let mut previous: Vec<(i64, i64, usize)> = Vec::new();
+    let mut current: Vec<(i64, i64, usize)> = Vec::new();
+    let mut start = 0;
+    while start < samples.len() {
+        let b = samples[start].bucket;
+        let len = samples[start..]
+            .iter()
+            .take_while(|s| s.bucket == b)
+            .count();
+        if start == 0 || samples[start - 1].bucket != b - 1 {
+            previous.clear();
+        }
+        current.clear();
+        current.extend((start..start + len).map(|i| {
+            let cell = grid.cell_of(samples[i].point);
+            (cell.cy, cell.cx, i)
+        }));
+        current.sort_unstable();
+        let sources = [&previous[..], &current[..]];
         // The bucket's samples are swept cell by cell, so the start of
         // each neighbour row's run (per source) only moves forward.
         let mut cursors = [[0usize; 3]; 2];
         let mut pos = 0;
         while pos < current.len() {
-            let (_, row, col, _) = current[pos];
+            let (row, col, _) = current[pos];
             let len = current[pos..]
                 .iter()
-                .take_while(|&&(_, y, x, _)| (y, x) == (row, col))
+                .take_while(|&&(y, x, _)| (y, x) == (row, col))
                 .count();
             // What the 3×3 query returns for any point of this cell.
             candidates.clear();
@@ -346,7 +348,7 @@ fn find_meetings(dataset: &Dataset, config: &MixZoneConfig, frame: &LocalFrame) 
                 let mut runs = [0, 1].map(|s| {
                     let cells = sources[s];
                     let start = &mut cursors[s][d];
-                    while *start < cells.len() && (cells[*start].1, cells[*start].2) < (y, col - 1)
+                    while *start < cells.len() && (cells[*start].0, cells[*start].1) < (y, col - 1)
                     {
                         *start += 1;
                     }
@@ -354,7 +356,7 @@ fn find_meetings(dataset: &Dataset, config: &MixZoneConfig, frame: &LocalFrame) 
                 });
                 for x in col - 1..=col + 1 {
                     for run in &mut runs {
-                        while let Some((&(_, cy, cx, ci), rest)) = run.split_first() {
+                        while let Some((&(cy, cx, ci), rest)) = run.split_first() {
                             if (cy, cx) != (y, x) {
                                 break;
                             }
@@ -395,6 +397,8 @@ fn find_meetings(dataset: &Dataset, config: &MixZoneConfig, frame: &LocalFrame) 
         // candidates in cell order.
         found.sort_by_key(|&(qi, _)| qi);
         meetings.extend(found.drain(..).map(|(_, m)| m));
+        std::mem::swap(&mut previous, &mut current);
+        start += len;
     }
     meetings
 }

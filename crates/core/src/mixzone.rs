@@ -256,8 +256,6 @@ fn sample_trace(
 /// needs of it.
 #[derive(Debug, Clone, Copy)]
 struct Sample {
-    /// Tolerance bucket of `time`.
-    bucket: i64,
     time: i64,
     trace: usize,
     position: LatLng,
@@ -270,31 +268,33 @@ struct Sample {
 ///
 /// The naive scan builds a [`GridIndex`] (cells of side
 /// `max(radius, 1)`) over each pair of adjacent tolerance buckets and
-/// queries it once per sample, in insertion order. Here the samples are
-/// sorted once by bucket, and each bucket's samples by cell. The
-/// candidates of a cell — its 3×3 block row by row, previous bucket
-/// before current bucket within a cell, insertion order within that,
-/// exactly as [`GridIndex::entries_within`] yields them — are gathered
-/// once for all its samples by a forward sweep, and a stable sort puts
-/// each bucket's meetings back in query order. Samples below the speed
-/// gate are dropped up front: the gate applies to both partners, so they
-/// can never take part in a meeting.
+/// queries it once per sample, in insertion order. Here each bucket's
+/// samples are sorted by cell once. The candidates of a cell — its 3×3
+/// block row by row, previous bucket before current bucket within a
+/// cell, insertion order within that, exactly as
+/// [`GridIndex::entries_within`] yields them — are gathered once for all
+/// its samples by a forward sweep, and a stable sort puts each bucket's
+/// meetings back in query order. Samples below the speed gate are
+/// dropped up front: the gate applies to both partners, so they can
+/// never take part in a meeting.
 fn find_meetings(dataset: &Dataset, config: &MixZoneConfig, frame: &LocalFrame) -> Vec<Meeting> {
     let tol = config.time_tolerance.get().max(1.0) as i64;
-    let step = config.sampling.get().max(1.0) as i64;
     let grid = GridIndex::<()>::new(config.radius_m.max(1.0)).expect("positive radius");
     let r_sq = config.radius_m * config.radius_m;
-    let lattice_points: i64 = dataset
-        .traces()
-        .iter()
-        .map(|t| (t.end_time().get() - t.start_time().get()) / step + 2)
-        .sum();
-    let mut samples = Vec::with_capacity(usize::try_from(lattice_points).unwrap_or(0));
+    // Per bucket, in insertion order (the query order). A trace's
+    // consecutive samples mostly share a bucket, so they are gathered in
+    // `run` and moved into the map once per bucket change.
+    let mut buckets: BTreeMap<i64, Vec<Sample>> = BTreeMap::new();
+    let mut run: (i64, Vec<Sample>) = (0, Vec::new());
     for (idx, trace) in dataset.traces().iter().enumerate() {
         sample_trace(trace, config, frame, |time, position, point, speed| {
             if speed >= config.min_speed_mps {
-                samples.push(Sample {
-                    bucket: time.div_euclid(tol),
+                let b = time.div_euclid(tol);
+                if b != run.0 && !run.1.is_empty() {
+                    buckets.entry(run.0).or_default().append(&mut run.1);
+                }
+                run.0 = b;
+                run.1.push(Sample {
                     time,
                     trace: idx,
                     position,
@@ -303,42 +303,41 @@ fn find_meetings(dataset: &Dataset, config: &MixZoneConfig, frame: &LocalFrame) 
             }
         });
     }
-    // Bucket-major; samples are pushed trace by trace in time order, so
-    // (trace, time) is the insertion order — the query order.
-    samples.sort_unstable_by_key(|s| (s.bucket, s.trace, s.time));
+    if !run.1.is_empty() {
+        buckets.entry(run.0).or_default().append(&mut run.1);
+    }
 
     let users: Vec<UserId> = dataset.traces().iter().map(Trace::user).collect();
     let mut meetings = Vec::new();
     let mut found: Vec<(usize, Meeting)> = Vec::new();
-    let mut candidates: Vec<usize> = Vec::new();
-    // (row, column, sample) of the previous and the current bucket,
-    // sorted by cell.
-    let mut previous: Vec<(i64, i64, usize)> = Vec::new();
-    let mut current: Vec<(i64, i64, usize)> = Vec::new();
-    let mut start = 0;
-    while start < samples.len() {
-        let b = samples[start].bucket;
-        let len = samples[start..]
-            .iter()
-            .take_while(|s| s.bucket == b)
-            .count();
-        if start == 0 || samples[start - 1].bucket != b - 1 {
-            previous.clear();
+    let mut candidates: Vec<&Sample> = Vec::new();
+    // (row, column, index in the bucket) of the previous and the current
+    // bucket's samples, sorted by cell.
+    let mut previous: (&[Sample], Vec<(i64, i64, usize)>) = (&[], Vec::new());
+    let mut current_cells: Vec<(i64, i64, usize)> = Vec::new();
+    let mut last_bucket = None;
+    for (&b, current) in &buckets {
+        if last_bucket != Some(b - 1) {
+            previous.0 = &[];
+            previous.1.clear();
         }
-        current.clear();
-        current.extend((start..start + len).map(|i| {
-            let cell = grid.cell_of(samples[i].point);
+        current_cells.clear();
+        current_cells.extend(current.iter().enumerate().map(|(i, s)| {
+            let cell = grid.cell_of(s.point);
             (cell.cy, cell.cx, i)
         }));
-        current.sort_unstable();
-        let sources = [&previous[..], &current[..]];
+        current_cells.sort_unstable();
+        let sources = [
+            (previous.0, &previous.1[..]),
+            (&current[..], &current_cells[..]),
+        ];
         // The bucket's samples are swept cell by cell, so the start of
         // each neighbour row's run (per source) only moves forward.
         let mut cursors = [[0usize; 3]; 2];
         let mut pos = 0;
-        while pos < current.len() {
-            let (row, col, _) = current[pos];
-            let len = current[pos..]
+        while pos < current_cells.len() {
+            let (row, col, _) = current_cells[pos];
+            let len = current_cells[pos..]
                 .iter()
                 .take_while(|&&(y, x, _)| (y, x) == (row, col))
                 .count();
@@ -346,7 +345,7 @@ fn find_meetings(dataset: &Dataset, config: &MixZoneConfig, frame: &LocalFrame) 
             candidates.clear();
             for (d, y) in (row - 1..=row + 1).enumerate() {
                 let mut runs = [0, 1].map(|s| {
-                    let cells = sources[s];
+                    let cells = sources[s].1;
                     let start = &mut cursors[s][d];
                     while *start < cells.len() && (cells[*start].0, cells[*start].1) < (y, col - 1)
                     {
@@ -355,22 +354,21 @@ fn find_meetings(dataset: &Dataset, config: &MixZoneConfig, frame: &LocalFrame) 
                     &cells[*start..]
                 });
                 for x in col - 1..=col + 1 {
-                    for run in &mut runs {
+                    for (s, run) in runs.iter_mut().enumerate() {
                         while let Some((&(cy, cx, ci), rest)) = run.split_first() {
                             if (cy, cx) != (y, x) {
                                 break;
                             }
-                            candidates.push(ci);
+                            candidates.push(&sources[s].0[ci]);
                             *run = rest;
                         }
                     }
                 }
             }
-            for &(.., qi) in &current[pos..pos + len] {
-                let q = &samples[qi];
+            for &(.., qi) in &current_cells[pos..pos + len] {
+                let q = &current[qi];
                 let user = users[q.trace];
-                for &ci in &candidates {
-                    let c = &samples[ci];
+                for c in &candidates {
                     // Each unordered pair once: require a strict order on
                     // (time, index); equal-time pairs ordered by index.
                     if (c.time, c.trace) >= (q.time, q.trace)
@@ -397,8 +395,9 @@ fn find_meetings(dataset: &Dataset, config: &MixZoneConfig, frame: &LocalFrame) 
         // candidates in cell order.
         found.sort_by_key(|&(qi, _)| qi);
         meetings.extend(found.drain(..).map(|(_, m)| m));
-        std::mem::swap(&mut previous, &mut current);
-        start += len;
+        previous.0 = current;
+        std::mem::swap(&mut previous.1, &mut current_cells);
+        last_bucket = Some(b);
     }
     meetings
 }

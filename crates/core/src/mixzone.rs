@@ -281,30 +281,22 @@ fn find_meetings(dataset: &Dataset, config: &MixZoneConfig, frame: &LocalFrame) 
     let tol = config.time_tolerance.get().max(1.0) as i64;
     let grid = GridIndex::<()>::new(config.radius_m.max(1.0)).expect("positive radius");
     let r_sq = config.radius_m * config.radius_m;
-    // Per bucket, in insertion order (the query order). A trace's
-    // consecutive samples mostly share a bucket, so they are gathered in
-    // `run` and moved into the map once per bucket change.
+    // Per bucket, in insertion order (the query order).
     let mut buckets: BTreeMap<i64, Vec<Sample>> = BTreeMap::new();
-    let mut run: (i64, Vec<Sample>) = (0, Vec::new());
     for (idx, trace) in dataset.traces().iter().enumerate() {
         sample_trace(trace, config, frame, |time, position, point, speed| {
             if speed >= config.min_speed_mps {
-                let b = time.div_euclid(tol);
-                if b != run.0 && !run.1.is_empty() {
-                    buckets.entry(run.0).or_default().append(&mut run.1);
-                }
-                run.0 = b;
-                run.1.push(Sample {
-                    time,
-                    trace: idx,
-                    position,
-                    point,
-                });
+                buckets
+                    .entry(time.div_euclid(tol))
+                    .or_default()
+                    .push(Sample {
+                        time,
+                        trace: idx,
+                        position,
+                        point,
+                    });
             }
         });
-    }
-    if !run.1.is_empty() {
-        buckets.entry(run.0).or_default().append(&mut run.1);
     }
 
     let users: Vec<UserId> = dataset.traces().iter().map(Trace::user).collect();

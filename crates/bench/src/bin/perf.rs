@@ -3,7 +3,8 @@
 //! Times every protection mechanism and every attack on a scaled
 //! [`serving_day`](mobipriv_synth::scenarios::serving_day) workload,
 //! and for the paths rewired onto indexed kernels (`KDelta`,
-//! `ReidentAttack`, `Tracker`, `HomeAttack`, `MixZones`) times the
+//! `ReidentAttack`, `Tracker`, `HomeAttack`, `MixZones`, the
+//! point-to-path distortion metric) times the
 //! brute-force reference (`*_naive`) against the indexed
 //! implementation and reports the speedup. Emits machine-readable JSON
 //! (`BENCH_perf.json` in CI) so the perf trajectory of the repo is a
@@ -24,6 +25,7 @@ use mobipriv_attacks::{HomeAttack, PoiAttack, ReidentAttack, Tracker};
 use mobipriv_core::{
     Engine, GeoInd, GridGeneralization, KDelta, Mechanism, MixZoneConfig, MixZones, Promesse,
 };
+use mobipriv_metrics::{spatial, DistortionSummary};
 use mobipriv_model::{
     read_bin, read_csv, read_ndjson, write_bin, write_csv, write_ndjson, Dataset, WireFormat,
 };
@@ -556,6 +558,21 @@ fn bench_sharding(dataset: &Dataset, seed: u64) -> ShardingBench {
     }
 }
 
+/// Users in the workload of the `distortion` paths entry, whatever
+/// `--users` says.
+const DISTORTION_USERS: usize = 100;
+
+/// Every field of a distortion summary, floats by their bits.
+fn summary_bits(s: &DistortionSummary) -> [u64; 5] {
+    [
+        s.count as u64,
+        s.mean.to_bits(),
+        s.median.to_bits(),
+        s.p95.to_bits(),
+        s.max.to_bits(),
+    ]
+}
+
 /// Minimum wall time of `iters` runs, seconds. The closure's result is
 /// returned so outputs can be cross-checked (and the work not optimized
 /// away).
@@ -667,6 +684,25 @@ fn main() -> ExitCode {
     let (indexed_s, indexed_out) = time_min(args.iters, || swap(false));
     assert_eq!(naive_out, indexed_out, "mixzones naive≡indexed violated");
     paths.push(("mixzones_r100".to_owned(), naive_s, indexed_s));
+
+    // Point-to-path distortion of the smoothed release, label-agnostic
+    // as the eval cells and `report=1` score it. Always on
+    // serving_day(100): the naive scan is quadratic (about 4 s per
+    // iteration on a 2-core VM, minutes at serving_day(1000)).
+    let small = scenarios::serving_day(DISTORTION_USERS, args.seed);
+    let smoothed = promesse.protect(&small.dataset, &mut StdRng::seed_from_u64(args.seed));
+    let (naive_s, naive_out) = time_min(args.iters, || {
+        spatial::dataset_distortion_anonymous_naive(&small.dataset, &smoothed)
+    });
+    let (indexed_s, indexed_out) = time_min(args.iters, || {
+        spatial::dataset_distortion_anonymous(&small.dataset, &smoothed)
+    });
+    assert_eq!(
+        summary_bits(&naive_out),
+        summary_bits(&indexed_out),
+        "distortion naive≡indexed violated"
+    );
+    paths.push(("distortion".to_owned(), naive_s, indexed_s));
 
     // Remaining attack for context (no indexed/naive split).
     let poi = PoiAttack::default();

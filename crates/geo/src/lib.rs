@@ -57,6 +57,6 @@ pub use footprint::FootprintIndex;
 pub use grid::{chamfer_mean, CellId, GridIndex};
 pub use latlng::{LatLng, EARTH_RADIUS_M};
 pub use point::Point;
-pub use polyline::{PathSample, Polyline};
+pub use polyline::{project_on_segment, PathSample, Polyline};
 pub use projection::LocalFrame;
 pub use units::{Meters, MetersPerSecond, Seconds};

@@ -264,8 +264,11 @@ impl Polyline {
 }
 
 /// Projects `q` onto segment `[a, b]`; returns the projected point and the
-/// clamped parameter `t ∈ [0, 1]`.
-fn project_on_segment(q: Point, a: Point, b: Point) -> (Point, f64) {
+/// clamped parameter `t ∈ [0, 1]`. A zero-length segment projects
+/// everything onto `a`. [`Polyline::nearest_point`] scores each segment
+/// with this function, so callers that index segments themselves get the
+/// same bits.
+pub fn project_on_segment(q: Point, a: Point, b: Point) -> (Point, f64) {
     let ab = b - a;
     let len_sq = ab.dot(ab);
     if len_sq == 0.0 {

@@ -5,8 +5,8 @@
 //! feeding one of the reproduction experiments:
 //!
 //! * [`spatial`] — point-to-path distortion (how far published points
-//!   stray from the user's true path), plus discrete Fréchet and
-//!   Hausdorff distances between trace pairs (T2, T5, T6);
+//!   stray from the user's true path), scored through a segment grid
+//!   and bit-identical to its brute-force oracle (T2, T5, T6, T7);
 //! * [`coverage`] — which grid cells of the city the published data
 //!   still covers, and how similar the published density heat-map is to
 //!   the raw one (T2);

@@ -11,7 +11,8 @@ use std::time::Instant;
 
 use mobipriv_core::{CancelToken, Engine, Mechanism};
 use mobipriv_eval::Json;
-use mobipriv_metrics::{coverage, spatial};
+use mobipriv_metrics::coverage::{self, CoverageReport};
+use mobipriv_metrics::{spatial, DistortionSummary};
 use mobipriv_model::{write_bin, write_csv, Dataset, WireFormat};
 use mobipriv_obs::trace::SpanRecorder;
 
@@ -30,6 +31,29 @@ fn deadline_exceeded(cancel: &CancelToken) -> ServiceError {
         .map(|b| b.as_millis() as u64)
         .unwrap_or_default();
     ServiceError::DeadlineExceeded(budget_ms)
+}
+
+/// The utility metrics of a report, timed as the `metrics` span.
+/// Distortion is label-agnostic: mechanisms may relabel users, which
+/// would break per-user matching. The budget is checked once per
+/// published trace of the distortion scan and again before coverage,
+/// so a tripped token aborts with the same error as a tripped protect.
+fn report_metrics(
+    dataset: &Dataset,
+    output: &Dataset,
+    cancel: &CancelToken,
+    spans: &SpanRecorder,
+) -> Result<(DistortionSummary, CoverageReport), ServiceError> {
+    let start = Instant::now();
+    let distortion =
+        spatial::try_dataset_distortion_anonymous(dataset, output, &mut || cancel.is_cancelled())
+            .ok_or_else(|| deadline_exceeded(cancel))?;
+    if cancel.is_cancelled() {
+        return Err(deadline_exceeded(cancel));
+    }
+    let cover = coverage::coverage(dataset, output, REPORT_CELL_M);
+    spans.record("metrics", start);
+    Ok((distortion, cover))
 }
 
 /// Versioned canonical cache-key string. Every field that changes the
@@ -64,11 +88,12 @@ pub(crate) fn canonical_key(
 /// `wire = Bin`) plus the computation-describing headers. `progress`
 /// receives coarse stage fractions in `[0, 1]` (protect ≈ the work;
 /// serialization and metrics the remainder). `spans` collects the
-/// `compute`/`serialize` stage timings for the request's (or job's)
-/// trace — observability only, never part of the cached bytes.
+/// `compute`/`serialize`/`metrics` stage timings for the request's (or
+/// job's) trace — observability only, never part of the cached bytes.
 /// `cancel` is the request's compute budget: a trip between per-trace
-/// kernels aborts with [`ServiceError::DeadlineExceeded`] and nothing
-/// is cached (completed outputs stay bit-identical — see
+/// kernels or per-trace metric scans aborts with
+/// [`ServiceError::DeadlineExceeded`] and nothing is cached (completed
+/// outputs stay bit-identical — see
 /// [`mobipriv_core::Engine::try_protect`]).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn anonymize_result(
@@ -109,10 +134,7 @@ pub(crate) fn anonymize_result(
         ("x-mobipriv-output-fixes", output.total_fixes().to_string()),
     ];
     if report {
-        // Label-agnostic distortion: mechanisms may relabel users, which
-        // would break per-user matching.
-        let distortion = spatial::dataset_distortion_anonymous(dataset, &output);
-        let cover = coverage::coverage(dataset, &output, REPORT_CELL_M);
+        let (distortion, cover) = report_metrics(dataset, &output, cancel, spans)?;
         headers.push((
             "x-mobipriv-distortion-mean-m",
             format!("{:.3}", distortion.mean),
@@ -143,6 +165,7 @@ pub(crate) fn anonymize_result(
 /// Runs a mechanism and materializes the utility report — the
 /// evaluation job's output — as canonical JSON (the eval crate's
 /// deterministic writer, so equal keys produce byte-equal documents).
+/// Spans and budget as in [`anonymize_result`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn evaluate_result(
     canonical: &str,
@@ -163,10 +186,9 @@ pub(crate) fn evaluate_result(
         .map_err(|_| deadline_exceeded(cancel))?;
     spans.record("compute", compute_start);
     progress(0.6);
-    let serialize_start = Instant::now();
-    let distortion = spatial::dataset_distortion_anonymous(dataset, &output);
-    let cover = coverage::coverage(dataset, &output, REPORT_CELL_M);
+    let (distortion, cover) = report_metrics(dataset, &output, cancel, spans)?;
     progress(0.9);
+    let serialize_start = Instant::now();
     let doc = Json::Obj(vec![
         ("schema_version".into(), Json::UInt(1)),
         ("kind".into(), Json::Str("utility_report".into())),
@@ -228,6 +250,82 @@ pub(crate) fn evaluate_result(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mobipriv_core::Promesse;
+    use mobipriv_obs::trace::next_trace_id;
+    use mobipriv_synth::scenarios;
+
+    /// A token tripped by the `progress` callback at `at`: the report
+    /// metrics run after that point and must notice it.
+    fn cancel_at(cancel: &CancelToken, at: f64) -> impl Fn(f64) + '_ {
+        move |fraction| {
+            if fraction == at {
+                cancel.cancel();
+            }
+        }
+    }
+
+    #[test]
+    fn report_metrics_honour_the_deadline() {
+        let dataset = scenarios::commuter_town(3, 1, 5).dataset;
+        let mechanism = Promesse::new(100.0).unwrap();
+        let engine = Engine::sequential();
+        let spans = SpanRecorder::new(next_trace_id());
+
+        let cancel = CancelToken::new();
+        let anonymized = anonymize_result(
+            "k",
+            &dataset,
+            &mechanism,
+            "promesse alpha=100",
+            1,
+            true,
+            WireFormat::Csv,
+            &engine,
+            &cancel,
+            &cancel_at(&cancel, 0.9),
+            &spans,
+        );
+        assert!(matches!(anonymized, Err(ServiceError::DeadlineExceeded(_))));
+
+        let cancel = CancelToken::new();
+        let evaluated = evaluate_result(
+            "k",
+            "d",
+            &dataset,
+            &mechanism,
+            "promesse alpha=100",
+            1,
+            &engine,
+            &cancel,
+            &cancel_at(&cancel, 0.6),
+            &spans,
+        );
+        assert!(matches!(evaluated, Err(ServiceError::DeadlineExceeded(_))));
+        let stages: Vec<&str> = spans.spans().iter().map(|s| s.stage).collect();
+        assert!(!stages.contains(&"metrics"), "{stages:?}");
+    }
+
+    #[test]
+    fn report_metrics_get_their_own_span() {
+        let dataset = scenarios::commuter_town(3, 1, 5).dataset;
+        let mechanism = Promesse::new(100.0).unwrap();
+        let spans = SpanRecorder::new(next_trace_id());
+        let result = evaluate_result(
+            "k",
+            "d",
+            &dataset,
+            &mechanism,
+            "promesse alpha=100",
+            1,
+            &Engine::sequential(),
+            &CancelToken::new(),
+            &|_| {},
+            &spans,
+        );
+        assert!(result.is_ok());
+        let stages: Vec<&str> = spans.spans().iter().map(|s| s.stage).collect();
+        assert_eq!(stages, ["compute", "metrics", "serialize"]);
+    }
 
     #[test]
     fn canonical_keys_separate_every_axis() {

@@ -68,6 +68,35 @@ fn identical_requests_share_bytes_but_not_trace_ids() {
 }
 
 #[test]
+fn report_requests_trace_a_metrics_stage() {
+    let body = csv_of(&scenarios::serving_day(6, 2).dataset);
+    let server = start();
+    let addr = server.addr();
+    let stages_of = |target: &str| {
+        let (status, headers, _) = request_full(addr, "POST", target, &body).unwrap();
+        assert_eq!(status, 200, "{target}");
+        let trace = header(&headers, "x-mobipriv-trace").expect("trace header");
+        let (status, _, doc) =
+            request_full(addr, "GET", &format!("/v1/traces/{trace}"), b"").unwrap();
+        assert_eq!(status, 200);
+        (headers, String::from_utf8(doc).unwrap())
+    };
+
+    // The utility report's metrics get their own span, not the
+    // serializer's.
+    let (headers, text) = stages_of("/v1/anonymize?mechanism=promesse&alpha=100&seed=3&report=1");
+    assert!(header(&headers, "x-mobipriv-distortion-mean-m").is_some());
+    for stage in ["compute", "serialize", "metrics"] {
+        assert!(text.contains(&format!("\"stage\":\"{stage}\"")), "{text}");
+    }
+    // Without a report there is nothing to measure.
+    let (_, text) = stages_of("/v1/anonymize?mechanism=promesse&alpha=100&seed=4");
+    assert!(text.contains("\"stage\":\"compute\""), "{text}");
+    assert!(!text.contains("\"stage\":\"metrics\""), "{text}");
+    server.shutdown();
+}
+
+#[test]
 fn metrics_endpoint_renders_parsable_prometheus_text() {
     let body = csv_of(&scenarios::serving_day(5, 2).dataset);
     let server = start();
